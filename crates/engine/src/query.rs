@@ -385,6 +385,40 @@ pub fn query_diagonal<S: TupleSource>(
     (diag, out)
 }
 
+/// `p`'s linear equation `e0 ∪ e1·p·e2`, oriented for the query
+/// direction: `(e0, e1, e2)` for `p(a, Y)`, and `(e0⁻¹, e2⁻¹, e1⁻¹)`
+/// for `p(X, b)`, because the inverse machine walks `e2⁻¹` per level on
+/// the way in and `e1⁻¹` on the way out.  The middle part is the
+/// query's *recursion side*: one machine instance nests per side step.
+/// Returns `None` unless the equation has the linear shape with all
+/// three parts base-only.
+fn oriented_linear(system: &EqSystem, p: Pred, inverse: bool) -> Option<(Expr, Expr, Expr)> {
+    let (e0, e1, e2) = linear_decomposition(p, &system.rhs[&p])?;
+    let derived = system.derived();
+    if e0.contains_any(&derived) || e1.contains_any(&derived) || e2.contains_any(&derived) {
+        return None;
+    }
+    Some(if inverse {
+        (e0.inverse(), e2.inverse(), e1.inverse())
+    } else {
+        (e0, e1, e2)
+    })
+}
+
+/// `m·n` for an oriented equation from constant `c`: `m` is the number
+/// of nodes accessible from `c` through the side, `n` the number
+/// accessible on the far side from their flat images.
+fn mn_bound(db: &rq_datalog::Database, (e0, side, far): &(Expr, Expr, Expr), c: Const) -> u64 {
+    let _span = rq_common::obs::span("engine.iteration_bound");
+    let mut ev = ImageEval::base_only(db);
+    let d1 = ev.image_of(&Expr::star(side.clone()), c);
+    let mid = ev.image(e0, &d1);
+    let d2 = ev.image(&Expr::star(far.clone()), &mid);
+    (d1.len() as u64)
+        .saturating_mul(d2.len().max(1) as u64)
+        .max(1)
+}
+
 /// The Marchetti-Spaccamela-style iteration bound for cyclic data (§3,
 /// Figure 8 discussion): for an equation `p = e0 ∪ e1·p·e2`, `m·n`
 /// iterations suffice, where `m` is the number of nodes accessible from
@@ -397,23 +431,7 @@ pub fn cyclic_iteration_bound(
     p: Pred,
     a: Const,
 ) -> Option<u64> {
-    let (e0, e1, e2) = linear_decomposition(p, &system.rhs[&p])?;
-    let derived = system.derived();
-    if e0.contains_any(&derived) || e1.contains_any(&derived) || e2.contains_any(&derived) {
-        return None;
-    }
-    let mut ev = ImageEval::base_only(db);
-    // D1: nodes accessible from a via e1 (the "up" side).
-    let d1 = ev.image_of(&Expr::star(e1), a);
-    // D2: nodes accessible on the e2 side — everything reachable through
-    // e2* from the flat-images of D1.
-    let mid = ev.image(&e0, &d1);
-    let d2 = ev.image(&Expr::star(e2), &mid);
-    Some(
-        (d1.len() as u64)
-            .saturating_mul(d2.len().max(1) as u64)
-            .max(1),
-    )
+    oriented_linear(system, p, false).map(|eq| mn_bound(db, &eq, a))
 }
 
 /// The iteration bound for the *inverse* query `p(X, b)` on cyclic
@@ -428,25 +446,150 @@ pub fn inverse_cyclic_iteration_bound(
     p: Pred,
     b: Const,
 ) -> Option<u64> {
-    let (e0, e1, e2) = linear_decomposition(p, &system.rhs[&p])?;
-    let derived = system.derived();
-    if e0.contains_any(&derived) || e1.contains_any(&derived) || e2.contains_any(&derived) {
-        return None;
-    }
-    let mut ev = ImageEval::base_only(db);
-    let d1 = ev.image_of(&Expr::star(e2.inverse()), b);
-    let mid = ev.image(&e0.inverse(), &d1);
-    let d2 = ev.image(&Expr::star(e1.inverse()), &mid);
-    Some(
-        (d1.len() as u64)
-            .saturating_mul(d2.len().max(1) as u64)
-            .max(1),
-    )
+    oriented_linear(system, p, true).map(|eq| mn_bound(db, &eq, b))
 }
 
-/// Convenience: evaluate `p(a, Y)` on a database with the cyclic bound
-/// applied automatically when the equation is linear (always terminates;
-/// complete whenever either the natural condition or the bound applies).
+/// The constants whose point query has a **finite recursion side**, for
+/// one equation and query direction on one database.
+///
+/// The traversal from `c` nests one machine instance per step along the
+/// recursion side (`e1` for `p(c, Y)`, `e2⁻¹` for `p(X, c)`).  When
+/// every path from `c` through the union graph of the side's atoms is
+/// finite, the nesting depth is at most the longest such path, so the
+/// traversal of Figures 4–5 converges by itself — before the `m·n`
+/// bound, which is at least that depth plus one — and needs no bound.
+#[derive(Clone, Debug)]
+pub struct FiniteSide {
+    /// Bitset over constant ids of the constants that peeling leaves
+    /// behind: those on, or upstream of, a cycle of the side graph.
+    /// Every other constant — peeled, or with no side edge at all — is
+    /// finite.  `None` when no constant is: the side accepts the empty
+    /// path, or the equation has no base-only linear shape.
+    cyclic: Option<Vec<u64>>,
+}
+
+impl FiniteSide {
+    /// Whether every recursion-side path from `c` is finite.
+    pub fn is_finite(&self, c: Const) -> bool {
+        self.cyclic.as_ref().is_some_and(|bits| {
+            bits.get(c.index() / 64)
+                .is_none_or(|word| word >> (c.index() % 64) & 1 == 0)
+        })
+    }
+}
+
+/// Compute [`FiniteSide`] for `p(c, Y)` (or `p(X, c)` when `inverse`)
+/// in O(|side tuples|).
+///
+/// Builds the union graph of the side's base atoms, oriented (`r`
+/// gives `u → v`, `r⁻¹` gives `v → u`), and peels sinks repeatedly —
+/// Kahn's algorithm on the reversed graph.  A constant is peeled once
+/// all its successors are, so exactly the constants with only finite
+/// paths get peeled.  A nullable side (`id`, a star — the `e1 = id` of
+/// left-linear transitive closure) lets the recursion repeat without a
+/// step, so no constant qualifies.
+pub fn finite_recursion_side(
+    system: &EqSystem,
+    db: &rq_datalog::Database,
+    p: Pred,
+    inverse: bool,
+) -> FiniteSide {
+    let _span = rq_common::obs::span("engine.finite_side");
+    let side = match oriented_linear(system, p, inverse) {
+        Some((_, side, _)) if !side.nullable() => side,
+        _ => return FiniteSide { cyclic: None },
+    };
+    let mut atoms: FxHashSet<(Pred, bool)> = FxHashSet::default();
+    side_atoms(&side, &mut atoms);
+    let mut edges: Vec<(usize, usize)> = Vec::new();
+    for (r, inv) in atoms {
+        for t in db.relation(r).iter() {
+            let (u, v) = (t[0].index(), t[1].index());
+            edges.push(if inv { (v, u) } else { (u, v) });
+        }
+    }
+    let n = edges.iter().map(|&(u, v)| u.max(v) + 1).max().unwrap_or(0);
+    let mut out_degree = vec![0u32; n];
+    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for &(u, v) in &edges {
+        out_degree[u] += 1;
+        preds[v].push(u);
+    }
+    let mut sinks: Vec<usize> = (0..n).filter(|&x| out_degree[x] == 0).collect();
+    while let Some(v) = sinks.pop() {
+        for &u in &preds[v] {
+            out_degree[u] -= 1;
+            if out_degree[u] == 0 {
+                sinks.push(u);
+            }
+        }
+    }
+    let mut bits = vec![0u64; n.div_ceil(64)];
+    for (x, _) in out_degree.iter().enumerate().filter(|&(_, &d)| d > 0) {
+        bits[x / 64] |= 1 << (x % 64);
+    }
+    FiniteSide { cyclic: Some(bits) }
+}
+
+/// Every `(predicate, inverted)` atom of a base-only expression.
+fn side_atoms(e: &Expr, out: &mut FxHashSet<(Pred, bool)>) {
+    match e {
+        Expr::Empty | Expr::Id => {}
+        Expr::Sym(r) => {
+            out.insert((*r, false));
+        }
+        Expr::Inv(r) => {
+            out.insert((*r, true));
+        }
+        Expr::Union(parts) | Expr::Cat(parts) => {
+            for part in parts {
+                side_atoms(part, out);
+            }
+        }
+        Expr::Star(inner) => side_atoms(inner, out),
+    }
+}
+
+/// How one §3 point traversal is guarded against cyclic data.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IterationGuard {
+    /// The constant's recursion side is finite ([`FiniteSide`]): the
+    /// traversal converges by itself and runs with no bound.
+    Finite,
+    /// Cap the traversal at this many iterations: the `m·n` bound plus
+    /// one, since iteration `i` explores recursion depth `i - 1` and the
+    /// bound counts depths.  The bound is sufficient (Marchetti-Spaccamela
+    /// et al. \[14\]), so stopping there is completion, not truncation.
+    Bounded(u64),
+    /// The equation has no base-only linear shape: no `m·n` bound exists.
+    NoBound,
+}
+
+/// The one guard rule for a §3 point query from `c` (`p(c, Y)`, or
+/// `p(X, c)` when `inverse`): skip the `m·n` bound when `side` — the
+/// [`finite_recursion_side`] of the same equation, direction and
+/// database — says `c` is finite, and compute it otherwise.
+pub fn iteration_guard(
+    system: &EqSystem,
+    db: &rq_datalog::Database,
+    p: Pred,
+    c: Const,
+    inverse: bool,
+    side: &FiniteSide,
+) -> IterationGuard {
+    if side.is_finite(c) {
+        return IterationGuard::Finite;
+    }
+    match oriented_linear(system, p, inverse) {
+        Some(eq) => IterationGuard::Bounded(mn_bound(db, &eq, c).saturating_add(1)),
+        None => IterationGuard::NoBound,
+    }
+}
+
+/// Convenience: evaluate `p(a, Y)` on a database under
+/// [`iteration_guard`] (always terminates on the linear shape;
+/// complete whenever either the natural condition or the bound
+/// applies).
 pub fn evaluate_with_cyclic_guard(
     system: &EqSystem,
     db: &rq_datalog::Database,
@@ -457,16 +600,15 @@ pub fn evaluate_with_cyclic_guard(
     let mut opts = options.clone();
     let mut guard_applied = false;
     if opts.max_iterations.is_none() {
-        // +1: iteration i explores recursion depth i-1, and the bound
-        // counts recursion depths.
-        opts.max_iterations = cyclic_iteration_bound(system, db, p, a).map(|b| b + 1);
-        guard_applied = opts.max_iterations.is_some();
+        let side = finite_recursion_side(system, db, p, false);
+        if let IterationGuard::Bounded(limit) = iteration_guard(system, db, p, a, false, &side) {
+            opts.max_iterations = Some(limit);
+            guard_applied = true;
+        }
     }
     let source = EdbSource::new(db);
     let ev = Evaluator::new(system, &source);
     let mut out = ev.evaluate(p, a, &opts);
-    // The m·n bound is sufficient (Marchetti-Spaccamela et al. [14]), so
-    // stopping at it is completion, not truncation.
     if guard_applied {
         out.converged = true;
     }
@@ -709,6 +851,154 @@ mod tests {
             &EvalOptions::default(),
         );
         assert!(out.converged);
+    }
+
+    /// Names of the constants among `names` whose side is finite.
+    fn finite_names(
+        program: &rq_datalog::Program,
+        side: &FiniteSide,
+        names: &[&str],
+    ) -> Vec<String> {
+        names
+            .iter()
+            .filter(|n| side.is_finite(konst(program, n)))
+            .map(|n| n.to_string())
+            .collect()
+    }
+
+    #[test]
+    fn finite_side_levelled_dag_is_all_finite() {
+        let src = "sg(X,Y) :- flat(X,Y).\n\
+                   sg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y).\n\
+                   up(a0,a1). up(a0,b1). up(a1,a2). up(b1,a2).\n\
+                   flat(a2,c2). down(c2,c1). down(c1,c0).";
+        let (program, db, sys) = setup(src);
+        let sg = program.pred_by_name("sg").unwrap();
+        let side = finite_recursion_side(&sys, &db, sg, false);
+        let all = ["a0", "a1", "b1", "a2", "c2", "c1", "c0"];
+        assert_eq!(finite_names(&program, &side, &all), all);
+        // Finite constants skip the bound, and the unbounded traversal
+        // gives the bounded one's answers.
+        let a0 = konst(&program, "a0");
+        assert_eq!(
+            iteration_guard(&sys, &db, sg, a0, false, &side),
+            IterationGuard::Finite
+        );
+        let source = EdbSource::new(&db);
+        let ev = Evaluator::new(&sys, &source);
+        let free = ev.evaluate(sg, a0, &EvalOptions::default());
+        let bounded = ev.evaluate(
+            sg,
+            a0,
+            &EvalOptions {
+                max_iterations: cyclic_iteration_bound(&sys, &db, sg, a0).map(|b| b + 1),
+                ..EvalOptions::default()
+            },
+        );
+        assert!(free.converged);
+        assert_eq!(free.answers, bounded.answers);
+        assert_eq!(free.answers, [konst(&program, "c0")].into_iter().collect());
+    }
+
+    #[test]
+    fn finite_side_cycle_taints_only_its_upstream() {
+        // x → c1 ⇄ c2 is a cycle with x upstream; y → z is off it.
+        let src = "sg(X,Y) :- flat(X,Y).\n\
+                   sg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y).\n\
+                   up(x,c1). up(c1,c2). up(c2,c1). up(c2,w). up(y,z).\n\
+                   flat(c1,f). flat(z,f). down(f,g).";
+        let (program, db, sys) = setup(src);
+        let sg = program.pred_by_name("sg").unwrap();
+        let side = finite_recursion_side(&sys, &db, sg, false);
+        assert_eq!(
+            finite_names(&program, &side, &["x", "c1", "c2", "w", "y", "z", "f", "g"]),
+            ["w", "y", "z", "f", "g"]
+        );
+        let x = konst(&program, "x");
+        let expected = cyclic_iteration_bound(&sys, &db, sg, x).unwrap() + 1;
+        assert_eq!(
+            iteration_guard(&sys, &db, sg, x, false, &side),
+            IterationGuard::Bounded(expected)
+        );
+    }
+
+    #[test]
+    fn finite_side_nullable_side_never_skips() {
+        // Left-linear tc before Lemma 1 regularizes it: tc = e ∪ tc·e,
+        // so e1 = id and the recursion can repeat without a step.
+        let program = parse_program(
+            "tc(X,Y) :- e(X,Y).\n\
+             tc(X,Y) :- tc(X,Z), e(Z,Y).\n\
+             e(a,b). e(b,c).",
+        )
+        .unwrap();
+        let db = Database::from_program(&program);
+        let sys = rq_relalg::initial_system(&program).unwrap();
+        let tc = program.pred_by_name("tc").unwrap();
+        let (_, e1, _) = linear_decomposition(tc, &sys.rhs[&tc]).unwrap();
+        assert_eq!(e1, Expr::Id);
+        let side = finite_recursion_side(&sys, &db, tc, false);
+        assert!(finite_names(&program, &side, &["a", "b", "c"]).is_empty());
+        assert!(matches!(
+            iteration_guard(&sys, &db, tc, konst(&program, "a"), false, &side),
+            IterationGuard::Bounded(_)
+        ));
+    }
+
+    #[test]
+    fn finite_side_mixing_r_and_its_inverse_is_not_finite() {
+        // p = flat ∪ up·up⁻¹·p·down: `up` alone is a DAG, but the side
+        // graph holds u → v and v → u for every up tuple (2-cycles).
+        let (program, db, _) = setup("up(a,b). up(c,b). flat(a,f). down(f,g). other(k,l).");
+        let pred = |n: &str| program.pred_by_name(n).unwrap();
+        let p = Pred(db.num_preds() as u32);
+        let rhs = Expr::union([
+            Expr::sym(pred("flat")),
+            Expr::cat([
+                Expr::sym(pred("up")),
+                Expr::Inv(pred("up")),
+                Expr::sym(p),
+                Expr::sym(pred("down")),
+            ]),
+        ]);
+        let sys = EqSystem::new([(p, rhs)]);
+        let side = finite_recursion_side(&sys, &db, p, false);
+        assert_eq!(
+            finite_names(&program, &side, &["a", "b", "c", "f", "k"]),
+            ["f", "k"]
+        );
+    }
+
+    #[test]
+    fn finite_side_inverse_query_checks_the_far_side() {
+        // up is a DAG, down has a cycle d1 ⇄ d2: forward queries are
+        // finite everywhere, inverse queries (side down⁻¹) are not on
+        // or downstream (in down order) of the cycle.
+        let src = "sg(X,Y) :- flat(X,Y).\n\
+                   sg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y).\n\
+                   up(a0,a1). flat(a1,d1). flat(a0,e0).\n\
+                   down(d1,d2). down(d2,d1). down(d2,e1). down(e0,e2).";
+        let (program, db, sys) = setup(src);
+        let sg = program.pred_by_name("sg").unwrap();
+        let names = ["a0", "a1", "d1", "d2", "e0", "e1", "e2"];
+        let forward = finite_recursion_side(&sys, &db, sg, false);
+        assert_eq!(finite_names(&program, &forward, &names), names);
+        let inverse = finite_recursion_side(&sys, &db, sg, true);
+        assert_eq!(
+            finite_names(&program, &inverse, &names),
+            ["a0", "a1", "e0", "e2"]
+        );
+        let e1 = konst(&program, "e1");
+        let expected = inverse_cyclic_iteration_bound(&sys, &db, sg, e1).unwrap() + 1;
+        assert_eq!(
+            iteration_guard(&sys, &db, sg, e1, true, &inverse),
+            IterationGuard::Bounded(expected)
+        );
+        let e2 = konst(&program, "e2");
+        assert_eq!(
+            iteration_guard(&sys, &db, sg, e2, true, &inverse),
+            IterationGuard::Finite
+        );
     }
 
     #[test]

@@ -105,6 +105,18 @@ impl Expr {
         }
     }
 
+    /// Whether the expression accepts the empty path (relates every
+    /// term to itself through `id`): `id`, any star, and unions or
+    /// compositions built from such parts.
+    pub fn nullable(&self) -> bool {
+        match self {
+            Expr::Empty | Expr::Sym(_) | Expr::Inv(_) => false,
+            Expr::Id | Expr::Star(_) => true,
+            Expr::Union(parts) => parts.iter().any(Expr::nullable),
+            Expr::Cat(parts) => parts.iter().all(Expr::nullable),
+        }
+    }
+
     /// Whether any of the given predicates occurs.
     pub fn contains_any(&self, preds: &FxHashSet<Pred>) -> bool {
         match self {
@@ -289,6 +301,18 @@ mod tests {
         assert_eq!(e, Expr::Union(vec![p(1), p(2), p(3)]));
         assert_eq!(Expr::union([Expr::Empty, Expr::Empty]), Expr::Empty);
         assert_eq!(Expr::union([p(1)]), p(1));
+    }
+
+    #[test]
+    fn nullable_follows_the_empty_path() {
+        assert!(Expr::Id.nullable());
+        assert!(Expr::star(p(1)).nullable());
+        assert!(!p(1).nullable());
+        assert!(!Expr::Inv(Pred(1)).nullable());
+        assert!(!Expr::Empty.nullable());
+        assert!(Expr::union([p(1), Expr::Id]).nullable());
+        assert!(!Expr::cat([p(1), Expr::star(p(2))]).nullable());
+        assert!(Expr::cat([Expr::star(p(1)), Expr::star(p(2))]).nullable());
     }
 
     #[test]

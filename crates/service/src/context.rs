@@ -18,7 +18,11 @@
 //!   query;
 //! * the SCC-path counter — how many all-free queries the epoch served
 //!   through the shared [`rq_engine::all_pairs_scc`] condensation
-//!   instead of the per-source loop.
+//!   instead of the per-source loop;
+//! * one [`FiniteSide`] per §3 `(plan, pred, direction)` — the constants
+//!   whose point queries need no `m·n` iteration bound on this epoch's
+//!   data.  Never carried: an ingest can close a cycle, so each epoch
+//!   recomputes it on first use.
 //!
 //! Invalidation is wholesale by default: publishing a new epoch
 //! creates a new snapshot, which creates a new (empty) context; the
@@ -36,7 +40,7 @@ use crate::spec::Adornment;
 use rq_adorn::ProbeSpace;
 use rq_common::{FxHashMap, Pred};
 use rq_datalog::Program;
-use rq_engine::EvalContext;
+use rq_engine::{EvalContext, FiniteSide};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -71,6 +75,8 @@ pub struct EpochContextStats {
 pub struct EpochContext {
     eval: EvalContext,
     probes: RwLock<FxHashMap<(Pred, Adornment), Arc<ProbeSpace>>>,
+    /// `(plan id, pred, inverse) → finite-side set`.
+    finite_sides: RwLock<FxHashMap<(u64, Pred, bool), Arc<FiniteSide>>>,
     scc_served: AtomicU64,
     eval_carried: AtomicU64,
     probe_spaces_carried: AtomicU64,
@@ -82,6 +88,7 @@ impl EpochContext {
         Self {
             eval: EvalContext::new(),
             probes: RwLock::new(FxHashMap::default()),
+            finite_sides: RwLock::new(FxHashMap::default()),
             scc_served: AtomicU64::new(0),
             eval_carried: AtomicU64::new(0),
             probe_spaces_carried: AtomicU64::new(0),
@@ -245,6 +252,31 @@ impl EpochContext {
         let adopted = self.eval.carry_from(src, |p, _| p == plan) as u64;
         self.eval_carried.fetch_add(adopted, Ordering::Relaxed);
         adopted
+    }
+
+    /// The [`FiniteSide`] of §3 plan `plan`'s `pred` in one query
+    /// direction, computed by `compute` on first use in this epoch.
+    /// Racing first users may both compute; the first insert wins and
+    /// both values are identical on the immutable snapshot.
+    pub(crate) fn finite_side(
+        &self,
+        plan: u64,
+        pred: Pred,
+        inverse: bool,
+        compute: impl FnOnce() -> FiniteSide,
+    ) -> Arc<FiniteSide> {
+        let key = (plan, pred, inverse);
+        if let Some(side) = self
+            .finite_sides
+            .read()
+            .expect("finite side map poisoned")
+            .get(&key)
+        {
+            return Arc::clone(side);
+        }
+        let side = Arc::new(compute());
+        let mut map = self.finite_sides.write().expect("finite side map poisoned");
+        Arc::clone(map.entry(key).or_insert(side))
     }
 
     /// Record one all-free query served through the shared-SCC path.

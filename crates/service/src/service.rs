@@ -12,8 +12,8 @@ use rq_common::obs::{self, Counter, Histogram};
 use rq_common::{Const, ConstValue, Counters, FxHashMap, FxHashSet, Pred, Registry};
 use rq_datalog::{Program, Relation};
 use rq_engine::{
-    all_pairs_min_side, candidate_sources, cyclic_iteration_bound, inverse_cyclic_iteration_bound,
-    EdbSource, EvalContext, EvalOptions, Evaluator,
+    all_pairs_min_side, candidate_sources, finite_recursion_side, iteration_guard, EdbSource,
+    EvalContext, EvalOptions, Evaluator, IterationGuard,
 };
 use rq_store::StorageBackend;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -44,6 +44,9 @@ pub struct ServiceConfig {
     /// traversal by the Marchetti-Spaccamela `m·n` bound (§3, Figure 8)
     /// so cyclic data cannot hang the service.  The bound is
     /// sufficient, so guarded runs still report `converged`.
+    /// Traversals from constants with a finite recursion side (the
+    /// epoch context's [`rq_engine::FiniteSide`]) converge by
+    /// themselves and skip the bound ([`rq_engine::iteration_guard`]).
     pub cyclic_guard: bool,
     /// Safety valve for traversals with no computable `m·n` bound
     /// (non-linear §3 shapes and every §4 transformed machine, whose
@@ -260,6 +263,11 @@ struct ServiceCounters {
     engine_teleports: Counter,
     /// Machine copies spliced during traversals.
     engine_instances: Counter,
+    /// §3 point traversals that computed the `m·n` iteration bound.
+    bounds_computed: Counter,
+    /// §3 point traversals that skipped the bound because the query
+    /// constant's recursion side is finite.
+    bounds_skipped: Counter,
     /// Compact stores (columnar + CSR) built at publish time.
     csr_builds: Counter,
     /// Wall time spent building compact stores, one observation per
@@ -342,6 +350,14 @@ impl ServiceCounters {
             engine_instances: registry.counter(
                 "rq_engine_machine_instances_total",
                 "Machine copies spliced during traversals.",
+            ),
+            bounds_computed: registry.counter(
+                "rq_iteration_bounds_computed_total",
+                "Section 3 point traversals that computed the m*n cyclic-data iteration bound.",
+            ),
+            bounds_skipped: registry.counter(
+                "rq_iteration_bounds_skipped_total",
+                "Section 3 point traversals that skipped the bound: finite recursion side.",
             ),
             csr_builds: registry.counter(
                 "rq_csr_builds_total",
@@ -606,6 +622,8 @@ impl QueryService {
                 as u64,
             csr_probes: self.counters.csr_probes.value(),
             trie_probes: self.counters.trie_probes.value(),
+            iteration_bounds_computed: self.counters.bounds_computed.value(),
+            iteration_bounds_skipped: self.counters.bounds_skipped.value(),
             delta_repairs: self.counters.delta_repairs.value(),
             delta_repaired_rows: self.counters.delta_repaired_rows.value(),
             delta_fallback_cold: self.counters.delta_fallback_cold.value(),
@@ -1357,20 +1375,26 @@ impl QueryService {
         let mut options = self.guarded_options(stop_on_answer, expand_threads);
         let mut guarded = false;
         if options.max_iterations.is_none() && self.config.cyclic_guard {
-            // +1 as in `evaluate_with_cyclic_guard`: iteration i explores
-            // recursion depth i-1.
-            let bound = if inverse {
-                inverse_cyclic_iteration_bound(&plan.system, snapshot.db(), pred, constant)
-            } else {
-                cyclic_iteration_bound(&plan.system, snapshot.db(), pred, constant)
-            };
-            options.max_iterations = bound.map(|b| b + 1);
-            guarded = options.max_iterations.is_some();
-            if !guarded && options.node_budget.is_none() {
-                // No m·n bound exists for this equation shape; fall
-                // back to a node budget so a divergent traversal cannot
-                // hang the worker.  Hitting it reports non-convergence.
-                options.node_budget = self.config.fallback_node_budget;
+            let side = snapshot
+                .context()
+                .finite_side(plan.compiled.id(), pred, inverse, || {
+                    finite_recursion_side(&plan.system, snapshot.db(), pred, inverse)
+                });
+            match iteration_guard(&plan.system, snapshot.db(), pred, constant, inverse, &side) {
+                IterationGuard::Finite => self.counters.bounds_skipped.inc(),
+                IterationGuard::Bounded(limit) => {
+                    self.counters.bounds_computed.inc();
+                    options.max_iterations = Some(limit);
+                    guarded = true;
+                }
+                IterationGuard::NoBound => {
+                    // Fall back to a node budget so a divergent
+                    // traversal cannot hang the worker.  Hitting it
+                    // reports non-convergence.
+                    if options.node_budget.is_none() {
+                        options.node_budget = self.config.fallback_node_budget;
+                    }
+                }
             }
         }
         let source = EdbSource::new(snapshot.db());

@@ -47,6 +47,12 @@ pub struct StatsReport {
     /// Index probes that walked (or built) a hash-trie index, service
     /// lifetime.
     pub trie_probes: u64,
+    /// §3 point traversals that computed the `m·n` iteration bound,
+    /// service lifetime.
+    pub iteration_bounds_computed: u64,
+    /// §3 point traversals that skipped the bound because the epoch
+    /// context's finite-side set holds their constant, service lifetime.
+    pub iteration_bounds_skipped: u64,
     /// Dirty plans whose warm memos were repaired in place at publish,
     /// service lifetime.
     pub delta_repairs: u64,
@@ -115,6 +121,13 @@ impl StatsReport {
                         ),
                     ),
                     ("scc_served", int(self.context.scc_served)),
+                    (
+                        "iteration_bounds",
+                        Json::object([
+                            ("computed", int(self.iteration_bounds_computed)),
+                            ("skipped", int(self.iteration_bounds_skipped)),
+                        ]),
+                    ),
                     (
                         "carried",
                         Json::object([
@@ -324,7 +337,7 @@ impl std::fmt::Display for StatsReport {
         )?;
         writeln!(
             f,
-            "epoch context: probe memo {} hits / {} misses ({} entr(ies)), machine memo {} hits / {} misses ({} entr(ies)), {} scc-served, carried {} machine entr(ies) / {} probe space(s)",
+            "epoch context: probe memo {} hits / {} misses ({} entr(ies)), machine memo {} hits / {} misses ({} entr(ies)), {} scc-served, iteration bounds {} computed / {} skipped, carried {} machine entr(ies) / {} probe space(s)",
             self.context.probe_hits,
             self.context.probe_misses,
             self.context.probe_entries,
@@ -332,6 +345,8 @@ impl std::fmt::Display for StatsReport {
             self.context.eval_misses,
             self.context.eval_entries,
             self.context.scc_served,
+            self.iteration_bounds_computed,
+            self.iteration_bounds_skipped,
             self.context.eval_carried,
             self.context.probe_spaces_carried,
         )?;
@@ -400,6 +415,8 @@ mod tests {
             csr_build_micros: 150,
             csr_probes: 40,
             trie_probes: 8,
+            iteration_bounds_computed: 4,
+            iteration_bounds_skipped: 11,
             delta_repairs: 3,
             delta_repaired_rows: 12,
             delta_fallback_cold: 1,
@@ -432,6 +449,7 @@ mod tests {
         assert!(text.contains("probe memo 9 hits / 3 misses (5 entr(ies))"));
         assert!(text.contains("machine memo 6 hits / 2 misses (4 entr(ies))"));
         assert!(text.contains("1 scc-served"));
+        assert!(text.contains("iteration bounds 4 computed / 11 skipped"));
         assert!(text.contains("carried 2 machine entr(ies) / 1 probe space(s)"));
         assert!(text.contains("storage:      2 csr build(s) (150 µs), probes 40 csr / 8 trie"));
         assert!(text.contains("delta repair: 3 repair(s) / 12 row(s) patched / 1 cold fallback(s)"));
@@ -463,6 +481,9 @@ mod tests {
             Some(6)
         );
         assert_eq!(ctx.get("scc_served").and_then(Json::as_i64), Some(1));
+        let bounds = ctx.get("iteration_bounds").unwrap();
+        assert_eq!(bounds.get("computed").and_then(Json::as_i64), Some(4));
+        assert_eq!(bounds.get("skipped").and_then(Json::as_i64), Some(11));
         assert_eq!(
             ctx.get("carried")
                 .unwrap()

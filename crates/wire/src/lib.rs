@@ -103,7 +103,9 @@
 //! `:stats` prints as text): plan-cache hits/misses and compiled-plan
 //! counts, result-cache hits/misses/evictions/dedup with entry and
 //! byte footprints, and the epoch context's probe/machine-memo
-//! counters including what the last publish carried forward.
+//! counters including what the last publish carried forward, beside
+//! the service's §3 iteration-bound counters (bounds computed, and
+//! bounds skipped for constants with a finite recursion side).
 //!
 //! ```text
 //! GET /stats
@@ -115,6 +117,7 @@
 //!  "epoch_context":{"probe_memo":{"hits":0,"misses":0,"entries":0},
 //!                   "machine_memo":{"hits":1,"misses":2,"entries":2},
 //!                   "scc_served":0,
+//!                   "iteration_bounds":{"computed":0,"skipped":2},
 //!                   "carried":{"machine_entries":2,"probe_spaces":0}}}
 //! ```
 //!

@@ -83,7 +83,9 @@ awk '
 ' "$scrape" || fail "exposition format violation"
 
 # Core families: per-endpoint latency histograms, cache hit/miss
-# counters, service counters, and report-derived gauges.
+# counters, service counters, and report-derived gauges.  The smoke
+# program's tc equation is regular (no linear e0 ∪ e1·tc·e2 shape), so
+# its queries neither compute nor skip the m·n iteration bound.
 for needle in \
   '# TYPE rq_http_request_seconds histogram' \
   'rq_http_request_seconds_bucket{endpoint="/query",le="+Inf"} 2' \
@@ -104,7 +106,11 @@ for needle in \
   '# TYPE rq_delta_repairs_total counter' \
   'rq_delta_repairs_total 1' \
   '# TYPE rq_delta_repaired_rows_total counter' \
-  'rq_delta_fallback_cold_total 0'
+  'rq_delta_fallback_cold_total 0' \
+  '# TYPE rq_iteration_bounds_computed_total counter' \
+  '# TYPE rq_iteration_bounds_skipped_total counter' \
+  'rq_iteration_bounds_computed_total 0' \
+  'rq_iteration_bounds_skipped_total 0'
 do
   grep -qF "$needle" "$scrape" || fail "missing: $needle"
 done
