@@ -22,13 +22,35 @@
 //! * The paper's `traverse` is recursive; we use an explicit stack so
 //!   deep databases cannot overflow the call stack.  The visit-once
 //!   discipline ("if (q', v) is not yet in G") is identical.
+//!
+//! # The visit-once test without hashing
+//!
+//! "Is `(q', v)` in `G`" runs for every arc, so its representation sets
+//! the traversal's speed.  `G` is a `NodeSet`: one slot per
+//! `(instance, state)`, at index `instance · max_states + state`,
+//! holding the terms visited there.
+//! Program constants are dense ids from zero, so a slot is a bitset over
+//! [`Const::index()`] — but only while the bitset stays within
+//! `4 · members + 4` words.  Terms beyond that cap go to a small hash
+//! set, and move into the bitset when it grows past them.  The bound
+//! keeps memory O(|G|): §4 tuple ids are minted from 2³¹ up, where one
+//! id in an uncapped bitset would cost 256 MiB, so they stay in the
+//! hash part.  Each slot has its own mutex, which only the workers of
+//! a parallel phase take; sequential phases reach the slots through
+//! `&mut` access.
+//!
+//! Continuations are plain term lists: a node is expanded once, so
+//! pushing its term once (however many derived transitions are still
+//! unexpanded) keeps each list duplicate-free.  Memo teleports route a
+//! child's answers through the same visit-once test as they are
+//! produced, so overlapping sibling answer sets put only new nodes on
+//! the next work-list.
 
 use crate::source::TupleSource;
 use rq_automata::{invert_nfa, thompson, Label, Nfa};
-use rq_common::{Const, Counters, FxHashMap, FxHashSet, FxHasher, Pred};
+use rq_common::{Const, Counters, FxHashMap, FxHashSet, Pred};
 use rq_relalg::EqSystem;
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -412,6 +434,9 @@ pub struct EvalOutcome {
 pub struct CompiledPlan {
     id: u64,
     machines: Vec<Nfa>,
+    /// States of the largest machine: the per-instance stride of the
+    /// node set's slot array (`NodeSet`).
+    max_states: u32,
     machine_index: FxHashMap<MachineKey, u32>,
     derived: FxHashSet<Pred>,
 }
@@ -457,6 +482,11 @@ impl CompiledPlan {
         }
         Self {
             id: NEXT_PLAN_ID.fetch_add(1, Ordering::Relaxed),
+            max_states: machines
+                .iter()
+                .map(|m| m.trans.len() as u32)
+                .max()
+                .unwrap_or(0),
             machines,
             machine_index,
             derived,
@@ -587,11 +617,6 @@ impl PlanRef<'_> {
     }
 }
 
-/// Shards of the concurrent visit-once node set used by parallel
-/// traversal phases.  Power of two; the shard is picked from the top
-/// hash bits so the intra-shard hash distribution stays intact.
-const GRAPH_SHARDS: usize = 64;
-
 /// Fewest start nodes for which a traversal phase fans out across
 /// scoped worker threads.  Spawning a thread costs tens of
 /// microseconds — more than a small phase's entire expansion — so
@@ -612,78 +637,168 @@ const MAX_REPAIR_ROUNDS: u32 = 64;
 /// truncated that closure.
 type ClosureCache = FxHashMap<(u32, u32, Const), Option<Arc<FxHashSet<Const>>>>;
 
-/// The node set `G`, sharded behind mutexes so the traversal workers of
-/// one iteration can share the visit-once discipline: `insert` is
-/// atomic per node, so exactly one worker wins each node and expands
-/// it — work is partitioned, never duplicated.
-struct SharedNodes {
-    shards: Vec<Mutex<FxHashSet<Node>>>,
+/// Dense bitset words a [`Slot`] may hold per member, plus
+/// [`SLOT_WORDS_SLACK`].  The bound keeps a slot's memory O(members)
+/// whatever its terms' ids: a single §4 tuple id (≥ 2³¹) would
+/// otherwise need a 256 MiB bitset.
+const SLOT_WORDS_PER_MEMBER: usize = 4;
+
+/// Dense bitset words every [`Slot`] may hold regardless of its size.
+const SLOT_WORDS_SLACK: usize = 4;
+
+/// The terms visited in one `(instance, state)` of `G`.  Terms are
+/// constant ids, dense from zero, so the common case is a bitset over
+/// [`Const::index()`]; the bitset only grows while it stays within
+/// `SLOT_WORDS_PER_MEMBER · members + SLOT_WORDS_SLACK` words, and terms
+/// beyond its cap (such as §4 tuple ids) live in a hash set instead.
+///
+/// Invariant: a term below `64 · dense.len()` is a member iff its bit is
+/// set; `sparse` holds exactly the members at or above that cap.
+#[derive(Default)]
+struct Slot {
+    dense: Vec<u64>,
+    sparse: FxHashSet<u32>,
+    len: u32,
 }
 
-impl SharedNodes {
-    fn new() -> Self {
+impl Slot {
+    /// Insert `term`; `true` when it was not yet a member.
+    #[inline]
+    fn insert(&mut self, term: u32) -> bool {
+        let word = (term / 64) as usize;
+        let bit = 1u64 << (term % 64);
+        if let Some(w) = self.dense.get_mut(word) {
+            let fresh = *w & bit == 0;
+            *w |= bit;
+            self.len += fresh as u32;
+            return fresh;
+        }
+        if !self.sparse.is_empty() && self.sparse.contains(&term) {
+            return false;
+        }
+        let allowed = SLOT_WORDS_PER_MEMBER * (self.len as usize + 1) + SLOT_WORDS_SLACK;
+        if word < allowed {
+            // Grow geometrically within the bound, then pull the sparse
+            // members the new cap covers into the bitset.
+            let words = (2 * self.dense.len()).clamp(word + 1, allowed);
+            self.dense.resize(words, 0);
+            let dense = &mut self.dense;
+            self.sparse
+                .retain(|&t| match dense.get_mut((t / 64) as usize) {
+                    Some(w) => {
+                        *w |= 1 << (t % 64);
+                        false
+                    }
+                    None => true,
+                });
+            self.dense[word] |= bit;
+        } else {
+            self.sparse.insert(term);
+        }
+        self.len += 1;
+        true
+    }
+
+    /// Every member, bitset part first.
+    fn terms(&self) -> impl Iterator<Item = u32> + '_ {
+        let dense = self.dense.iter().enumerate().flat_map(|(i, &w)| {
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let b = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    i as u32 * 64 + b
+                })
+            })
+        });
+        dense.chain(self.sparse.iter().copied())
+    }
+}
+
+/// The node set `G`: one [`Slot`] per `(instance, state)`, at index
+/// `instance · stride + state` where the stride is the plan's largest
+/// machine.  "Is `(q', v)` in `G`" is then an array index plus a bit
+/// test instead of hashing the whole node.  Every instance holds at
+/// least one node (its first start node), so the slot array is O(|G|)
+/// for a fixed plan.
+///
+/// Each slot sits behind its own mutex so the workers of a parallel
+/// phase can share the visit-once discipline: [`NodeSet::insert_shared`]
+/// is atomic per node, so exactly one worker wins each node and expands
+/// it — work is partitioned, never duplicated.  Sequential code inserts
+/// through `&mut` access and never locks.  Workers only insert into
+/// instances that existed when their phase started, and an instance's
+/// slots exist from its first start node on, so the slot array grows
+/// only between phases.
+struct NodeSet {
+    stride: usize,
+    slots: Vec<Mutex<Slot>>,
+    /// Members, as of the last exclusive insert or [`NodeSet::recount`].
+    len: usize,
+}
+
+impl NodeSet {
+    fn new(stride: u32) -> Self {
         Self {
-            shards: (0..GRAPH_SHARDS)
-                .map(|_| Mutex::new(FxHashSet::default()))
-                .collect(),
+            stride: stride as usize,
+            slots: Vec::new(),
+            len: 0,
         }
     }
 
-    fn insert(&self, node: Node) -> bool {
-        let mut h = FxHasher::default();
-        node.hash(&mut h);
-        let shard = (h.finish() >> 58) as usize % GRAPH_SHARDS;
-        self.shards[shard]
-            .lock()
-            .expect("graph shard lock poisoned")
-            .insert(node)
+    #[inline]
+    fn index(&self, (inst, state, _): Node) -> usize {
+        inst as usize * self.stride + state as usize
     }
 
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("graph shard lock poisoned").len())
-            .sum()
-    }
-}
-
-/// The node set `G` in whichever representation the traversal has
-/// needed so far: a plain set while every phase has run sequentially,
-/// upgraded in place to the sharded concurrent set the first time a
-/// phase fans out.  Starting sequential matters on the serving cold
-/// path — a point query whose graph holds a dozen nodes must not pay
-/// for [`GRAPH_SHARDS`] mutexes up front.
-enum Graph {
-    Seq(FxHashSet<Node>),
-    Par(SharedNodes),
-}
-
-impl Graph {
+    /// Insert with exclusive access; `true` when the node is new.
+    #[inline]
     fn insert(&mut self, node: Node) -> bool {
-        match self {
-            Graph::Seq(set) => set.insert(node),
-            Graph::Par(nodes) => nodes.insert(node),
+        let idx = self.index(node);
+        if idx >= self.slots.len() {
+            self.slots
+                .resize_with((node.0 as usize + 1) * self.stride, Default::default);
         }
+        let slot = self.slots[idx].get_mut().expect("graph slot lock poisoned");
+        let fresh = slot.insert(node.2 .0);
+        self.len += fresh as usize;
+        fresh
+    }
+
+    /// Insert from a parallel worker; `true` when the node is new.
+    /// Leaves `len` stale until [`NodeSet::recount`].
+    #[inline]
+    fn insert_shared(&self, node: Node) -> bool {
+        self.slots[self.index(node)]
+            .lock()
+            .expect("graph slot lock poisoned")
+            .insert(node.2 .0)
+    }
+
+    /// Bring `len` up to date after a parallel phase.
+    fn recount(&mut self) {
+        self.len = self
+            .slots
+            .iter_mut()
+            .map(|s| s.get_mut().expect("graph slot lock poisoned").len as usize)
+            .sum();
     }
 
     fn len(&self) -> usize {
-        match self {
-            Graph::Seq(set) => set.len(),
-            Graph::Par(nodes) => nodes.len(),
-        }
+        self.len
     }
 
-    /// Upgrade to the sharded representation (a no-op if already
-    /// there): every visited node is re-inserted once, O(|G|), paid
-    /// only by traversals that actually go parallel.
-    fn ensure_sharded(&mut self) {
-        if let Graph::Seq(set) = self {
-            let nodes = SharedNodes::new();
-            for node in set.drain() {
-                nodes.insert(node);
-            }
-            *self = Graph::Par(nodes);
-        }
+    /// Every node, in slot order.
+    fn iter(&mut self) -> impl Iterator<Item = Node> + '_ {
+        let stride = self.stride;
+        self.slots
+            .iter_mut()
+            .enumerate()
+            .flat_map(move |(idx, slot)| {
+                let (inst, state) = ((idx / stride) as u32, (idx % stride) as u32);
+                let slot: &Slot = slot.get_mut().expect("graph slot lock poisoned");
+                slot.terms().map(move |t| (inst, state, Const(t)))
+            })
     }
 }
 
@@ -694,18 +809,18 @@ trait NodeVisit {
     fn visit(&mut self, node: Node) -> bool;
 }
 
-impl NodeVisit for Graph {
+impl NodeVisit for NodeSet {
     fn visit(&mut self, node: Node) -> bool {
         self.insert(node)
     }
 }
 
 /// A parallel worker's handle on the shared node set.
-struct ParVisit<'a>(&'a SharedNodes);
+struct ParVisit<'a>(&'a NodeSet);
 
 impl NodeVisit for ParVisit<'_> {
     fn visit(&mut self, node: Node) -> bool {
-        self.0.insert(node)
+        self.0.insert_shared(node)
     }
 }
 
@@ -737,7 +852,7 @@ fn expand_node<S: TupleSource, V: NodeVisit>(
     graph: &mut V,
     stack: &mut Vec<Node>,
     answers: &mut FxHashSet<Const>,
-    continuations: &mut FxHashMap<(u32, u32), FxHashSet<Const>>,
+    continuations: &mut FxHashMap<(u32, u32), Vec<Const>>,
     counters: &mut Counters,
     succ_buf: &mut Vec<Const>,
     arcs: &mut Vec<DumpArc>,
@@ -769,6 +884,10 @@ fn expand_node<S: TupleSource, V: NodeVisit>(
             }
         }
     }
+    // Whether this node's term is already queued in C: a node is
+    // expanded once, so one push covers all its unexpanded derived
+    // transitions and the terms of one `(instance, state)` stay unique.
+    let mut queued = false;
     for (t_idx, &(label, to)) in machine.trans[state as usize].iter().enumerate() {
         counters.rule_firings += 1;
         match label {
@@ -798,8 +917,9 @@ fn expand_node<S: TupleSource, V: NodeVisit>(
                             counters.nodes_inserted += 1;
                             stack.push(next);
                         }
-                    } else {
-                        continuations.entry((inst, state)).or_default().insert(term);
+                    } else if !queued {
+                        continuations.entry((inst, state)).or_default().push(term);
+                        queued = true;
                     }
                     continue;
                 }
@@ -846,18 +966,20 @@ fn expand_node<S: TupleSource, V: NodeVisit>(
 ///
 /// Workers share the visit-once node set (so no node is expanded
 /// twice) and keep local answer/continuation sets that the caller
-/// merges.  The merge is deterministic: answers and continuations are
-/// sets (union is order-independent), counters are sums, and which
-/// worker expands a node never changes what the expansion produces.
+/// merges.  The merge is deterministic: answers are a set (union is
+/// order-independent), continuation terms are disjoint across workers
+/// (each node has one expander) and sorted by the expansion phase,
+/// counters are sums, and which worker expands a node never changes
+/// what the expansion produces.
 #[allow(clippy::too_many_arguments)]
 fn traverse_parallel<S: TupleSource>(
     step: &StepCtx<'_>,
     source: &S,
-    nodes: &SharedNodes,
+    nodes: &NodeSet,
     seeds: Vec<Node>,
     workers: usize,
     answers: &mut FxHashSet<Const>,
-    continuations: &mut FxHashMap<(u32, u32), FxHashSet<Const>>,
+    continuations: &mut FxHashMap<(u32, u32), Vec<Const>>,
     counters: &mut Counters,
 ) -> bool {
     let pending = AtomicUsize::new(seeds.len());
@@ -869,7 +991,7 @@ fn traverse_parallel<S: TupleSource>(
     let stop = AtomicBool::new(false);
     type WorkerOutcome = (
         FxHashSet<Const>,
-        FxHashMap<(u32, u32), FxHashSet<Const>>,
+        FxHashMap<(u32, u32), Vec<Const>>,
         Counters,
         bool,
     );
@@ -1163,17 +1285,25 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
         }];
         // (instance, state, transition ordinal) → child.
         let mut expansions: FxHashMap<(u32, u32, u32), u32> = FxHashMap::default();
-        // G: the node set.  Starts in the plain representation and is
-        // upgraded to the sharded one by the first phase that fans
-        // out, so small traversals never touch a mutex.
-        let mut graph = Graph::Seq(FxHashSet::default());
-        // C: continuation terms per (instance, state).
-        let mut continuations: FxHashMap<(u32, u32), FxHashSet<Const>> = FxHashMap::default();
+        // G: the node set.  Sequential phases never lock its slots.
+        let mut graph = NodeSet::new(plan.max_states);
+        // C: continuation terms per (instance, state), each pushed once.
+        let mut continuations: FxHashMap<(u32, u32), Vec<Const>> = FxHashMap::default();
         let mut answers: FxHashSet<Const> = FxHashSet::default();
 
-        // S: starting points of the current iteration.
+        // S: the unvisited starting points of the current iteration.
+        // Every start goes through the visit-once test as it is
+        // produced, so S never holds a node already in G.
         let root_start: Node = (0, seeds[0].0, seeds[0].1);
-        let mut starts: Vec<Node> = seeds.iter().map(|&(q, c)| (0, q, c)).collect();
+        let mut starts: Vec<Node> = Vec::new();
+        for &(q, c) in seeds {
+            if graph.insert((0, q, c)) {
+                counters.nodes_inserted += 1;
+                starts.push((0, q, c));
+            }
+        }
+        // |G| before the current iteration's start nodes went in.
+        let mut nodes_before = 0u64;
         let mut arcs: Vec<DumpArc> = Vec::new();
         // Arcs from the expansion phase (enter edges), keyed by target
         // start node so they are attributed when the node is seeded.
@@ -1183,16 +1313,7 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
         let mut stopped_early = false;
         loop {
             counters.iterations += 1;
-            let nodes_before = graph.len() as u64;
-            // Seed this iteration's work-list with the unvisited
-            // starts.
-            let mut seeds: Vec<Node> = Vec::new();
-            for node in starts.drain(..) {
-                if graph.insert(node) {
-                    counters.nodes_inserted += 1;
-                    seeds.push(node);
-                }
-            }
+            let seeds = std::mem::take(&mut starts);
             // Traversal phase: depth-first expansion of the work-list,
             // sequential or fanned out across scoped workers sharing
             // the visit-once node set.  Instances and expansions are
@@ -1211,20 +1332,18 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
                 1
             };
             let stopped = if phase_workers > 1 {
-                graph.ensure_sharded();
-                let Graph::Par(nodes) = &graph else {
-                    unreachable!("parallel phases run on the sharded node set")
-                };
-                traverse_parallel(
+                let stopped = traverse_parallel(
                     &step,
                     self.source,
-                    nodes,
+                    &graph,
                     seeds,
                     phase_workers,
                     &mut answers,
                     &mut continuations,
                     &mut counters,
-                )
+                );
+                graph.recount();
+                stopped
             } else {
                 let mut stack = seeds;
                 let mut succ_buf: Vec<Const> = Vec::new();
@@ -1285,11 +1404,12 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
             // fresh copy and seed S with its start nodes.  The
             // work-list is sorted so instance numbering is independent
             // of hash-map and thread-schedule order.
+            nodes_before = graph.len() as u64;
             let mut pending: Vec<((u32, u32), Vec<Const>)> = continuations
                 .drain()
-                .map(|(key, terms)| {
-                    let mut terms: Vec<Const> = terms.into_iter().collect();
+                .map(|(key, mut terms)| {
                     terms.sort_unstable();
+                    debug_assert!(terms.windows(2).all(|w| w[0] < w[1]), "C terms repeat");
                     (key, terms)
                 })
                 .collect();
@@ -1327,9 +1447,16 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
                             None
                         };
                         if let Some(sub) = hit {
+                            // Sibling answer sets overlap heavily, so
+                            // test-and-set each routed node right here:
+                            // only new ones reach the next work-list.
                             memo_teleports += 1;
                             for &v in sub.iter() {
-                                starts.push((inst, to as u32, v));
+                                let node = (inst, to as u32, v);
+                                if graph.insert(node) {
+                                    counters.nodes_inserted += 1;
+                                    starts.push(node);
+                                }
                             }
                             continue;
                         }
@@ -1353,7 +1480,10 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
                         if options.record_graph {
                             enter_arcs.push(((inst, state, u), ArcKind::Enter(r), node));
                         }
-                        starts.push(node);
+                        if graph.insert(node) {
+                            counters.nodes_inserted += 1;
+                            starts.push(node);
+                        }
                     }
                 }
             }
@@ -1361,12 +1491,8 @@ impl<'a, S: TupleSource> Evaluator<'a, S> {
 
         let dump = options.record_graph.then(|| {
             arcs.extend(enter_arcs);
-            let Graph::Seq(node_set) = &graph else {
-                unreachable!("recorded graphs run sequentially")
-            };
-            let answer_nodes: Vec<Node> = node_set
+            let answer_nodes: Vec<Node> = graph
                 .iter()
-                .copied()
                 .filter(|&(i, q, _)| {
                     i == 0 && q as usize == plan.machines[root_machine as usize].finish
                 })
@@ -1984,6 +2110,73 @@ mod tests {
         assert!(answers.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(*answers.last().unwrap() as usize, out.answers.len());
         assert_eq!(names(&program, &out.answers), vec!["b0", "c1", "c2", "c3"]);
+    }
+
+    mod node_set_props {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        /// Dense constant ids, §4-style tuple ids from 2³¹ up, or both.
+        fn term(mix: u8, dense: u32, tuple: u32, pick: u8) -> Const {
+            let section4 = 1u32 << 31;
+            match (mix, pick) {
+                (0, _) | (2, 0) => Const(dense),
+                _ => Const(section4 + tuple),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The node set is a set of nodes: it agrees with a hash-set
+            /// oracle on every insert, exclusive or shared, and on its
+            /// size and contents; and no slot's bitset outgrows its
+            /// bound.
+            #[test]
+            fn node_set_matches_hash_set_oracle(
+                mix in 0u8..3,
+                raw in prop::collection::vec((0u32..3, 0u32..4, 0u32..10_000, 0u32..50_000, 0u8..2), 0..1500),
+            ) {
+                let nodes: Vec<Node> = raw
+                    .iter()
+                    .map(|&(i, q, d, t, pick)| (i, q, term(mix, d, t, pick)))
+                    .collect();
+                let mut set = NodeSet::new(4);
+                let mut oracle: FxHashSet<Node> = FxHashSet::default();
+                // A node of the last instance gives every instance its
+                // slots, as a start node does before any parallel phase.
+                let first = (2, 0, Const(0));
+                prop_assert_eq!(set.insert(first), oracle.insert(first));
+                // First half exclusive, second half as a parallel worker
+                // would insert; then every node again, alternating, must
+                // find them all.
+                let (exclusive, shared) = nodes.split_at(nodes.len() / 2);
+                for &node in exclusive {
+                    prop_assert_eq!(set.insert(node), oracle.insert(node));
+                }
+                for &node in shared {
+                    prop_assert_eq!(set.insert_shared(node), oracle.insert(node));
+                }
+                set.recount();
+                for (i, &node) in nodes.iter().enumerate() {
+                    let fresh = if i % 2 == 0 { set.insert(node) } else { set.insert_shared(node) };
+                    prop_assert!(!fresh, "{:?} inserted twice", node);
+                }
+                prop_assert_eq!(set.len(), oracle.len());
+                let mut got: Vec<Node> = set.iter().collect();
+                let mut want: Vec<Node> = oracle.iter().copied().collect();
+                got.sort_unstable();
+                want.sort_unstable();
+                prop_assert_eq!(got, want);
+                for slot in &mut set.slots {
+                    let slot = slot.get_mut().unwrap();
+                    prop_assert!(
+                        slot.dense.len()
+                            <= SLOT_WORDS_PER_MEMBER * slot.len as usize + SLOT_WORDS_SLACK
+                    );
+                }
+            }
+        }
     }
 
     /// Shared fixture for the repair tests: compile one plan for `src`,

@@ -9,6 +9,7 @@ use rq_common::Json;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const RQC: &str = env!("CARGO_BIN_EXE_rqc");
 
@@ -43,7 +44,11 @@ fn spawn_server() -> Server {
 fn spawn_server_with(data_dir: Option<&std::path::Path>) -> Server {
     let dir = std::env::temp_dir().join(format!("rqc-http-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let program = dir.join("serve.dl");
+    // One program file per server: a shared file rewritten by one test
+    // while another test's server reads it would hand that server a
+    // truncated program.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let program = dir.join(format!("serve-{}.dl", NEXT.fetch_add(1, Ordering::Relaxed)));
     std::fs::write(&program, PROGRAM).unwrap();
     let mut cmd = Command::new(RQC);
     cmd.arg("serve")

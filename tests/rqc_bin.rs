@@ -4,6 +4,7 @@
 
 use std::io::Write;
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const RQC: &str = env!("CARGO_BIN_EXE_rqc");
 
@@ -11,8 +12,15 @@ const SG: &str = "sg(X,Y) :- flat(X,Y).\n\
                   sg(X,Y) :- up(X,X1), sg(X1,Y1), down(Y1,Y).\n\
                   up(john, mary). flat(mary, lisa). down(lisa, erik).\n";
 
+/// Write the program to a file of its own: tests run concurrently, and
+/// one test rewriting a shared file while another test's `rqc` reads it
+/// would make that read see a truncated program.
 fn write_program(dir: &std::path::Path) -> std::path::PathBuf {
-    let path = dir.join("family.dl");
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let path = dir.join(format!(
+        "family-{}.dl",
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::write(&path, SG).unwrap();
     path
 }
